@@ -34,8 +34,8 @@ type trainOptions struct {
 type trainResult struct {
 	Name   string `json:"name"`
 	Engine string `json:"engine"` // "sequential" or "parallel"
-	// Backend names the tensor kernel set the run executed on (avx2,
-	// avx512, neon, go-tuned, go-scalar) — without it a committed artifact
+	// Backend names the tensor kernel set the run executed on (purego,
+	// tuned, avx2, neon) — without it a committed artifact
 	// can't be compared across hosts or VRDAG_BACKEND overrides.
 	Backend         string  `json:"backend"`
 	Workers         int     `json:"workers,omitempty"`

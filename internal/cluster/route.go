@@ -38,7 +38,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			r = r.WithContext(ctx)
 			w.Header().Set(obs.Header, tr.ID)
 			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			defer func() { tr.Finish(sw.status) }()
+			defer func() { tr.FinishAt(sw.status, sw.doneAt()) }()
 			w = sw
 		}
 	}
@@ -69,11 +69,16 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusWriter captures the final status for the node-owned trace while
-// forwarding Flush, keeping streaming backpressure intact.
+// statusWriter captures the final status and the time of the last Write
+// for the node-owned trace while forwarding Flush, keeping streaming
+// backpressure intact. The time is taken before the bytes are handed on,
+// so it never postdates the client's receipt of them. Flush does not move
+// it: a large Write may already have sent everything, and the client may
+// have the response before the Flush that follows it runs.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	last   time.Time
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -81,10 +86,25 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+func (w *statusWriter) Write(p []byte) (int, error) {
+	w.last = time.Now()
+	return w.ResponseWriter.Write(p)
+}
+
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// doneAt is where the node-owned trace ends: the last Write (a client
+// may have read the whole body before the handler returns), or now when
+// no body was written.
+func (w *statusWriter) doneAt() time.Time {
+	if w.last.IsZero() {
+		return time.Now()
+	}
+	return w.last
 }
 
 // routeIngest spools the body once and either serves as primary (local
@@ -253,8 +273,11 @@ func (n *Node) proxyTo(w http.ResponseWriter, r *http.Request, target string, bo
 		w.Header()[k] = vs
 	}
 	w.WriteHeader(resp.StatusCode)
-	err = flushCopy(w, resp.Body)
-	sp.SetErr(err).End()
+	last, err := flushCopy(w, resp.Body)
+	// The hop ends when its last chunk is handed to the client: the
+	// client may have the whole response before the final flush returns
+	// and this goroutine runs again.
+	sp.SetErr(err).EndAt(last)
 	if err != nil && r.Context().Err() == nil {
 		n.logger.Warn("proxy stream ended early", "peer", target,
 			"trace", obs.TraceID(r.Context()), "err", err)
@@ -263,25 +286,28 @@ func (n *Node) proxyTo(w http.ResponseWriter, r *http.Request, target string, bo
 }
 
 // flushCopy streams src to w, flushing after every read so proxied NDJSON
-// lines keep their per-line latency through the extra hop.
-func flushCopy(w http.ResponseWriter, src io.Reader) error {
+// lines keep their per-line latency through the extra hop. last is when
+// the final chunk was handed to w (the call's start when src was empty).
+func flushCopy(w http.ResponseWriter, src io.Reader) (last time.Time, err error) {
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 32<<10)
+	last = time.Now()
 	for {
 		nr, rerr := src.Read(buf)
 		if nr > 0 {
+			last = time.Now()
 			if _, werr := w.Write(buf[:nr]); werr != nil {
-				return werr
+				return last, werr
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
 		}
 		if rerr == io.EOF {
-			return nil
+			return last, nil
 		}
 		if rerr != nil {
-			return rerr
+			return last, rerr
 		}
 	}
 }

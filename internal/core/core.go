@@ -76,9 +76,9 @@ type Config struct {
 
 	// TapeSched selects the tape executor for training: 0 (auto) enables
 	// the scheduled executor — lifetime release of dead intermediates
-	// mid-Backward plus backward fusion — unless the VRDAG_TAPE_SCHED
-	// environment variable is "0" or "off"; 1 forces it on; -1 forces the
-	// plain record-order executor. Like TrainWorkers it is a scheduling
+	// mid-Backward, plus rematerialization when CheckpointEvery is set —
+	// unless the VRDAG_TAPE_SCHED environment variable is "0" or "off";
+	// 1 forces it on; -1 forces the plain record-order executor. Like TrainWorkers it is a scheduling
 	// hint, never a model hyper-parameter: losses, gradients, and trained
 	// weights are bit-identical in every mode (pinned by
 	// tensor.AssertSchedEquiv and the core scheduling tests).
@@ -279,7 +279,7 @@ func (m *Model) tapeSched() tensor.Sched {
 	if !on {
 		return tensor.Sched{}
 	}
-	return tensor.Sched{Lifetime: true, Fuse: true, Remat: m.Cfg.CheckpointEvery > 0}
+	return tensor.Sched{Lifetime: true, Remat: m.Cfg.CheckpointEvery > 0}
 }
 
 // TapePeakLiveBytes returns the high-water mark of tape-owned buffer bytes

@@ -151,8 +151,8 @@ func TestTapeSchedCheckpointArenaBalance(t *testing.T) {
 func TestTapeSchedEnvOverride(t *testing.T) {
 	m := New(smallConfig(8, 1))
 	t.Setenv("VRDAG_TAPE_SCHED", "") // isolate from the CI sched-off leg
-	if s := m.tapeSched(); !s.Lifetime || !s.Fuse || s.Remat {
-		t.Fatalf("auto default = %+v, want lifetime+fuse on, remat off", s)
+	if s := m.tapeSched(); s != (tensor.Sched{Lifetime: true}) {
+		t.Fatalf("auto default = %+v, want lifetime on, remat off", s)
 	}
 	t.Setenv("VRDAG_TAPE_SCHED", "off")
 	if s := m.tapeSched(); s != (tensor.Sched{}) {
@@ -160,7 +160,7 @@ func TestTapeSchedEnvOverride(t *testing.T) {
 	}
 	m.Cfg.TapeSched = 1
 	m.Cfg.CheckpointEvery = 2
-	if s := m.tapeSched(); !s.Lifetime || !s.Fuse || !s.Remat {
+	if s := m.tapeSched(); s != (tensor.Sched{Lifetime: true, Remat: true}) {
 		t.Fatalf("forced-on with env off = %+v, want all on", s)
 	}
 	m.Cfg.TapeSched = -1

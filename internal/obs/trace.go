@@ -215,7 +215,13 @@ func (tr *Trace) addSpan(s *Span) {
 // Finish seals the trace with the response status and publishes it to
 // the completed ring (and the slowest list / slow log when it
 // qualifies). Idempotent and nil-safe.
-func (tr *Trace) Finish(status int) {
+func (tr *Trace) Finish(status int) { tr.FinishAt(status, time.Now()) }
+
+// FinishAt is Finish with the wall ending at end instead of now — for a
+// root whose response was complete before its handler returned (a
+// client may have read the last byte by then). The wall never ends
+// before a span already attached to the trace.
+func (tr *Trace) FinishAt(status int, end time.Time) {
 	if tr == nil {
 		return
 	}
@@ -225,7 +231,10 @@ func (tr *Trace) Finish(status int) {
 		return
 	}
 	tr.done = true
-	tr.wall = time.Since(tr.start)
+	tr.wall = end.Sub(tr.start)
+	for _, s := range tr.spans {
+		tr.wall = max(tr.wall, s.start+s.dur)
+	}
 	tr.status = status
 	tr.mu.Unlock()
 
@@ -326,6 +335,16 @@ func (s *Span) End() {
 		s.dur = time.Since(s.tr.start) - s.start
 	}
 	s.tr.addSpan(s)
+}
+
+// EndAt is End with the span closing at t instead of now, for a stage
+// whose last instant the caller measured itself (a relay's last chunk).
+func (s *Span) EndAt(t time.Time) {
+	if s == nil || s.ended {
+		return
+	}
+	s.dur = t.Sub(s.tr.start) - s.start
+	s.End()
 }
 
 // TraceView is the JSON shape of a completed trace on /v1/trace.

@@ -327,3 +327,26 @@ func BenchmarkSpanTracedRequest(b *testing.B) {
 		}
 	})
 }
+
+// TestFinishAtWall pins the explicit end time: the wall ends where the
+// caller says (not when Finish runs), yet never before an attached span,
+// and EndAt closes a span at the caller's instant.
+func TestFinishAtWall(t *testing.T) {
+	tc := New(Config{Ring: 8})
+	_, tr := tc.StartTrace(context.Background(), "GET /x", "")
+	tr.StartSpan("relay").EndAt(tr.start.Add(3 * time.Millisecond))
+	tr.FinishAt(200, tr.start.Add(5*time.Millisecond))
+	if v := tr.View(); v.WallUS != 5000 {
+		t.Fatalf("wall = %dus, want the given end 5000us", v.WallUS)
+	}
+	if sp := tr.spans[0]; sp.start+sp.dur != 3*time.Millisecond {
+		t.Fatalf("relay span ends at %v, want 3ms", sp.start+sp.dur)
+	}
+
+	_, tr = tc.StartTrace(context.Background(), "GET /y", "")
+	tr.StartSpan("relay").EndAt(tr.start.Add(3 * time.Millisecond))
+	tr.FinishAt(200, tr.start.Add(time.Millisecond))
+	if v := tr.View(); v.WallUS != 3000 {
+		t.Fatalf("wall = %dus, want it stretched to the span end 3000us", v.WallUS)
+	}
+}

@@ -398,7 +398,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.statsFor(r.URL.Path).observe(lw.status, elapsed)
 	if owned {
-		tr.Finish(lw.status)
+		tr.FinishAt(lw.status, lw.doneAt())
 	}
 	s.logRequest(r, tr, lw.status, elapsed)
 }
@@ -428,14 +428,25 @@ func (s *Server) logRequest(r *http.Request, tr *obs.Trace, status int, elapsed 
 	s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 }
 
+// loggingWriter records the status and the time of the last Write, so a
+// server-owned trace ends when its response did rather than after the
+// handler's epilogue. As in the cluster's statusWriter, the time is taken
+// before the bytes are handed on and Flush does not move it, so it never
+// postdates the client's receipt of them.
 type loggingWriter struct {
 	http.ResponseWriter
 	status int
+	last   time.Time
 }
 
 func (w *loggingWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *loggingWriter) Write(p []byte) (int, error) {
+	w.last = time.Now()
+	return w.ResponseWriter.Write(p)
 }
 
 // Flush forwards to the wrapped writer so the NDJSON streaming endpoint
@@ -444,6 +455,14 @@ func (w *loggingWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// doneAt is the last Write, or now when no body was written.
+func (w *loggingWriter) doneAt() time.Time {
+	if w.last.IsZero() {
+		return time.Now()
+	}
+	return w.last
 }
 
 // lookup resolves a model by name; an empty name resolves iff exactly one

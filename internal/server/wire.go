@@ -277,7 +277,7 @@ type RuntimeStats struct {
 	Goroutines      int     `json:"goroutines"`
 
 	// ComputeBackend names the SIMD kernel set serving every tensor op
-	// (e.g. "avx2", "avx512", "neon", "go-tuned"); CPUFeatures lists what
+	// ("purego", "tuned", "avx2" or "neon"); CPUFeatures lists what
 	// the startup probe detected, so a fleet-wide metrics scrape shows at
 	// a glance which hosts fell back to scalar kernels.
 	ComputeBackend string   `json:"compute_backend"`

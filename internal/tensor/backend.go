@@ -7,12 +7,12 @@ import (
 
 // This file defines the pluggable compute backend: the set of hot kernels
 // every dense and sparse operation in the package funnels through. The
-// tape, the scheduled executor, the fused backward closures, and the
-// tape-free forward paths all call the same dispatch points (matMulInto,
-// axpyRow, the V* vector-math helpers), so swapping the backend swaps the
-// inner loops of training and generation wholesale while the recording /
-// scheduling machinery above them is untouched — AssertSchedEquiv and the
-// scheduler fuzzer exercise whichever backend is active for free.
+// tape, the scheduled executor, and the tape-free forward paths all call
+// the same dispatch points (matMulInto, axpyRow, the V* vector-math
+// helpers), so swapping the backend swaps the inner loops of training and
+// generation wholesale while the recording / scheduling machinery above
+// them is untouched — AssertSchedEquiv and the scheduler fuzzer exercise
+// whichever backend is active for free.
 //
 // Bit-stability contract: every backend must produce bit-identical
 // results to the pure-Go reference for all finite inputs. The kernels are
@@ -33,11 +33,9 @@ import (
 //     one-hot feature matrices are common on that path); the skip is part
 //     of the kernel contract and every backend applies it identically.
 //
-// The one sanctioned divergence is the opt-in FMA tolerance mode
-// (VRDAG_FMA=1, amd64): fused multiply-add removes one rounding per
-// product, so results drift from the reference at the ULP level. The
-// drift is pinned by TestFMAToleranceULP; the default mode never uses
-// FMA. See docs/ARCHITECTURE.md "Compute backends".
+// No backend may use FMA: the differential suite holds every compiled
+// backend to the reference bit for bit. See docs/ARCHITECTURE.md
+// "Compute backends".
 
 // Backend implements the hot compute kernels. Implementations must be
 // stateless and safe for concurrent use: the parallel GEMM/SpMM paths
@@ -66,10 +64,9 @@ type Backend interface {
 
 	// VSigmoid, VTanh, VExp, VReLU, VLeakyReLU apply the activation in
 	// place. VExp clamps inputs to 40 before exponentiation (the Tape.Exp
-	// stability clamp). All backends currently share one scalar
-	// implementation so the transcendental rounding is identical
-	// everywhere; the interface carries them so a tolerance-mode
-	// polynomial implementation can slot in per backend.
+	// stability clamp). The transcendentals share one scalar
+	// implementation on every backend so their rounding is identical
+	// everywhere; the ReLU family has branch-free SIMD variants.
 	VSigmoid(x []float64)
 	VTanh(x []float64)
 	VExp(x []float64)
@@ -109,7 +106,9 @@ func registerBackend(b Backend) struct{} {
 
 // initBackend resolves the active backend: the VRDAG_BACKEND environment
 // variable if set ("purego", "tuned", "avx2", "neon"), otherwise the most
-// capable compiled-in backend for this CPU.
+// capable compiled-in backend for this CPU. A name that is not compiled
+// in (or not supported by this CPU) falls back to that default with a
+// warning on stderr.
 func initBackend() Backend {
 	if name := os.Getenv("VRDAG_BACKEND"); name != "" {
 		if b := backendByName(name); b != nil {

@@ -2,18 +2,17 @@
 
 #include "textflag.h"
 
-// SIMD kernels for the avx2/avx512 compute backends. Bit-stability rules
-// (see backend.go):
+// SIMD kernels for the avx2 compute backend. Bit-stability rules (see
+// backend.go):
 //
-//   - No FMA anywhere except the *FMA functions, which only the opt-in
-//     VRDAG_FMA tolerance mode wires up. Separate VMULPD + VADDPD keep
-//     each element's rounding identical to the scalar reference.
+//   - No FMA. Separate VMULPD + VADDPD keep each element's rounding
+//     identical to the scalar reference.
 //   - Vectorisation is across output elements only. Every lane of every
 //     vector below is a distinct output element receiving its products in
 //     ascending contraction order, so no element ever sees a reordered or
 //     fused sum.
-//   - Tails narrow 512→256→scalar with VEX scalar ops (VMULSD/VADDSD),
-//     which round exactly like the Go compiler's SSE scalar code.
+//   - Tails narrow 256→scalar with VEX scalar ops (VMULSD/VADDSD), which
+//     round exactly like the Go compiler's SSE scalar code.
 //
 // All functions are NOSPLIT leaf routines taking raw pointers (wrapped by
 // //go:noescape declarations in backend_amd64.go) and end with VZEROUPPER
@@ -76,65 +75,6 @@ axpy2_loop1:
 	JMP    axpy2_loop1
 
 axpy2_done:
-	VZEROUPPER
-	RET
-
-// func axpyAVX512(dst, src *float64, n int, a float64)
-TEXT ·axpyAVX512(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSD a+24(FP), Z0
-
-axpy5_loop32:
-	CMPQ CX, $32
-	JLT  axpy5_loop8
-	VMOVUPD (SI), Z1
-	VMOVUPD 64(SI), Z2
-	VMOVUPD 128(SI), Z3
-	VMOVUPD 192(SI), Z4
-	VMULPD  Z0, Z1, Z1
-	VMULPD  Z0, Z2, Z2
-	VMULPD  Z0, Z3, Z3
-	VMULPD  Z0, Z4, Z4
-	VADDPD  (DI), Z1, Z1
-	VADDPD  64(DI), Z2, Z2
-	VADDPD  128(DI), Z3, Z3
-	VADDPD  192(DI), Z4, Z4
-	VMOVUPD Z1, (DI)
-	VMOVUPD Z2, 64(DI)
-	VMOVUPD Z3, 128(DI)
-	VMOVUPD Z4, 192(DI)
-	ADDQ    $256, SI
-	ADDQ    $256, DI
-	SUBQ    $32, CX
-	JMP     axpy5_loop32
-
-axpy5_loop8:
-	CMPQ CX, $8
-	JLT  axpy5_loop1
-	VMOVUPD (SI), Z1
-	VMULPD  Z0, Z1, Z1
-	VADDPD  (DI), Z1, Z1
-	VMOVUPD Z1, (DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	SUBQ    $8, CX
-	JMP     axpy5_loop8
-
-axpy5_loop1:
-	TESTQ CX, CX
-	JEQ   axpy5_done
-	VMOVSD (SI), X1
-	VMULSD X0, X1, X1
-	VADDSD (DI), X1, X1
-	VMOVSD X1, (DI)
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JMP    axpy5_loop1
-
-axpy5_done:
 	VZEROUPPER
 	RET
 
@@ -233,475 +173,6 @@ scale2_loop1:
 	JMP    scale2_loop1
 
 scale2_done:
-	VZEROUPPER
-	RET
-
-// func gemmRow4AVX2(o, b0, b1, b2, b3, avs *float64, n int)
-// o[j] += avs[0]*b0[j]; o[j] += avs[1]*b1[j]; o[j] += avs[2]*b2[j];
-// o[j] += avs[3]*b3[j] — four sequential mul+adds per element, ascending
-// multiplier order, for j in [0, n).
-TEXT ·gemmRow4AVX2(SB), NOSPLIT, $0-56
-	MOVQ o+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ avs+40(FP), AX
-	MOVQ n+48(FP), CX
-	VBROADCASTSD (AX), Y4
-	VBROADCASTSD 8(AX), Y5
-	VBROADCASTSD 16(AX), Y6
-	VBROADCASTSD 24(AX), Y7
-
-row42_loop8:
-	CMPQ CX, $8
-	JLT  row42_loop4
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMULPD  (SI), Y4, Y2
-	VMULPD  32(SI), Y4, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R8), Y5, Y2
-	VMULPD  32(R8), Y5, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R9), Y6, Y2
-	VMULPD  32(R9), Y6, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R10), Y7, Y2
-	VMULPD  32(R10), Y7, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    $64, DI
-	ADDQ    $64, SI
-	ADDQ    $64, R8
-	ADDQ    $64, R9
-	ADDQ    $64, R10
-	SUBQ    $8, CX
-	JMP     row42_loop8
-
-row42_loop4:
-	CMPQ CX, $4
-	JLT  row42_loop1
-	VMOVUPD (DI), Y0
-	VMULPD  (SI), Y4, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R8), Y5, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R9), Y6, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R10), Y7, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	SUBQ    $4, CX
-	JMP     row42_loop4
-
-row42_loop1:
-	TESTQ CX, CX
-	JEQ   row42_done
-	VMOVSD (DI), X0
-	VMOVSD (SI), X2
-	VMULSD X4, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R8), X2
-	VMULSD X5, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R9), X2
-	VMULSD X6, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R10), X2
-	VMULSD X7, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (DI)
-	ADDQ   $8, DI
-	ADDQ   $8, SI
-	ADDQ   $8, R8
-	ADDQ   $8, R9
-	ADDQ   $8, R10
-	DECQ   CX
-	JMP    row42_loop1
-
-row42_done:
-	VZEROUPPER
-	RET
-
-// func gemmRow4AVX512(o, b0, b1, b2, b3, avs *float64, n int)
-// Same contract as gemmRow4AVX2 with 8-wide vectors; the tail narrows
-// through one zmm, one ymm, then scalar.
-TEXT ·gemmRow4AVX512(SB), NOSPLIT, $0-56
-	MOVQ o+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ avs+40(FP), AX
-	MOVQ n+48(FP), CX
-	VBROADCASTSD (AX), Z4
-	VBROADCASTSD 8(AX), Z5
-	VBROADCASTSD 16(AX), Z6
-	VBROADCASTSD 24(AX), Z7
-
-row45_loop16:
-	CMPQ CX, $16
-	JLT  row45_loop8
-	VMOVUPD (DI), Z0
-	VMOVUPD 64(DI), Z1
-	VMULPD  (SI), Z4, Z2
-	VMULPD  64(SI), Z4, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMULPD  (R8), Z5, Z2
-	VMULPD  64(R8), Z5, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMULPD  (R9), Z6, Z2
-	VMULPD  64(R9), Z6, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMULPD  (R10), Z7, Z2
-	VMULPD  64(R10), Z7, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, SI
-	ADDQ    $128, R8
-	ADDQ    $128, R9
-	ADDQ    $128, R10
-	SUBQ    $16, CX
-	JMP     row45_loop16
-
-row45_loop8:
-	CMPQ CX, $8
-	JLT  row45_loop4
-	VMOVUPD (DI), Z0
-	VMULPD  (SI), Z4, Z2
-	VADDPD  Z2, Z0, Z0
-	VMULPD  (R8), Z5, Z2
-	VADDPD  Z2, Z0, Z0
-	VMULPD  (R9), Z6, Z2
-	VADDPD  Z2, Z0, Z0
-	VMULPD  (R10), Z7, Z2
-	VADDPD  Z2, Z0, Z0
-	VMOVUPD Z0, (DI)
-	ADDQ    $64, DI
-	ADDQ    $64, SI
-	ADDQ    $64, R8
-	ADDQ    $64, R9
-	ADDQ    $64, R10
-	SUBQ    $8, CX
-	JMP     row45_loop8
-
-row45_loop4:
-	CMPQ CX, $4
-	JLT  row45_loop1
-	VMOVUPD (DI), Y0
-	VMULPD  (SI), Y4, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R8), Y5, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R9), Y6, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R10), Y7, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	SUBQ    $4, CX
-	JMP     row45_loop4
-
-row45_loop1:
-	TESTQ CX, CX
-	JEQ   row45_done
-	VMOVSD (DI), X0
-	VMOVSD (SI), X2
-	VMULSD X4, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R8), X2
-	VMULSD X5, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R9), X2
-	VMULSD X6, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R10), X2
-	VMULSD X7, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (DI)
-	ADDQ   $8, DI
-	ADDQ   $8, SI
-	ADDQ   $8, R8
-	ADDQ   $8, R9
-	ADDQ   $8, R10
-	DECQ   CX
-	JMP    row45_loop1
-
-row45_done:
-	VZEROUPPER
-	RET
-
-// func ntRow4AVX2(a, b0, b1, b2, b3 *float64, k4 int, sums *float64)
-// sums[c] = Σ_{p<k4} a[p]*bc[p] for c in 0..3, each lane a fresh
-// sequential sum over ascending p (the NT dot-product contract). k4 must
-// be a multiple of 4; the Go wrapper finishes the p-tail scalar-wise on
-// the returned sums. Four rows of b are loaded 4 elements at a time and
-// transposed in registers so one vector add per p carries all four lanes.
-TEXT ·ntRow4AVX2(SB), NOSPLIT, $0-56
-	MOVQ a+0(FP), SI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ k4+40(FP), CX
-	MOVQ sums+48(FP), DI
-	VXORPD Y0, Y0, Y0 // sums
-
-nt42_loop4:
-	TESTQ CX, CX
-	JEQ   nt42_done
-	VMOVUPD (R8), Y1  // b0[p..p+3]
-	VMOVUPD (R9), Y2  // b1[p..p+3]
-	VMOVUPD (R10), Y3 // b2[p..p+3]
-	VMOVUPD (R11), Y4 // b3[p..p+3]
-
-	// 4x4 transpose: T_q = [b0[p+q], b1[p+q], b2[p+q], b3[p+q]]
-	VUNPCKLPD  Y2, Y1, Y5         // b0[p]   b1[p]   b0[p+2] b1[p+2]
-	VUNPCKHPD  Y2, Y1, Y6         // b0[p+1] b1[p+1] b0[p+3] b1[p+3]
-	VUNPCKLPD  Y4, Y3, Y7         // b2[p]   b3[p]   b2[p+2] b3[p+2]
-	VUNPCKHPD  Y4, Y3, Y8         // b2[p+1] b3[p+1] b2[p+3] b3[p+3]
-	VPERM2F128 $0x20, Y7, Y5, Y1  // T0
-	VPERM2F128 $0x20, Y8, Y6, Y2  // T1
-	VPERM2F128 $0x31, Y7, Y5, Y3  // T2
-	VPERM2F128 $0x31, Y8, Y6, Y4  // T3
-
-	// sums += a[p+q] * T_q, q ascending — one sequential add per p.
-	VBROADCASTSD (SI), Y5
-	VMULPD       Y1, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-	VBROADCASTSD 8(SI), Y5
-	VMULPD       Y2, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-	VBROADCASTSD 16(SI), Y5
-	VMULPD       Y3, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-	VBROADCASTSD 24(SI), Y5
-	VMULPD       Y4, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $4, CX
-	JMP  nt42_loop4
-
-nt42_done:
-	VMOVUPD Y0, (DI)
-	VZEROUPPER
-	RET
-
-// func gemmRow4FMA(o, b0, b1, b2, b3, avs *float64, n int)
-// FMA variant of gemmRow4AVX2 for the VRDAG_FMA=1 tolerance mode: each
-// mul+add pair contracts to one VFMADD231PD, removing one rounding per
-// product. NOT bit-identical to the reference — ULP drift is pinned by
-// TestFMAToleranceULP.
-TEXT ·gemmRow4FMA(SB), NOSPLIT, $0-56
-	MOVQ o+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ avs+40(FP), AX
-	MOVQ n+48(FP), CX
-	VBROADCASTSD (AX), Y4
-	VBROADCASTSD 8(AX), Y5
-	VBROADCASTSD 16(AX), Y6
-	VBROADCASTSD 24(AX), Y7
-
-rowf_loop8:
-	CMPQ CX, $8
-	JLT  rowf_loop4
-	VMOVUPD     (DI), Y0
-	VMOVUPD     32(DI), Y1
-	VMOVUPD     (SI), Y2
-	VMOVUPD     32(SI), Y3
-	VFMADD231PD Y2, Y4, Y0
-	VFMADD231PD Y3, Y4, Y1
-	VMOVUPD     (R8), Y2
-	VMOVUPD     32(R8), Y3
-	VFMADD231PD Y2, Y5, Y0
-	VFMADD231PD Y3, Y5, Y1
-	VMOVUPD     (R9), Y2
-	VMOVUPD     32(R9), Y3
-	VFMADD231PD Y2, Y6, Y0
-	VFMADD231PD Y3, Y6, Y1
-	VMOVUPD     (R10), Y2
-	VMOVUPD     32(R10), Y3
-	VFMADD231PD Y2, Y7, Y0
-	VFMADD231PD Y3, Y7, Y1
-	VMOVUPD     Y0, (DI)
-	VMOVUPD     Y1, 32(DI)
-	ADDQ        $64, DI
-	ADDQ        $64, SI
-	ADDQ        $64, R8
-	ADDQ        $64, R9
-	ADDQ        $64, R10
-	SUBQ        $8, CX
-	JMP         rowf_loop8
-
-rowf_loop4:
-	CMPQ CX, $4
-	JLT  rowf_loop1
-	VMOVUPD     (DI), Y0
-	VMOVUPD     (SI), Y2
-	VFMADD231PD Y2, Y4, Y0
-	VMOVUPD     (R8), Y2
-	VFMADD231PD Y2, Y5, Y0
-	VMOVUPD     (R9), Y2
-	VFMADD231PD Y2, Y6, Y0
-	VMOVUPD     (R10), Y2
-	VFMADD231PD Y2, Y7, Y0
-	VMOVUPD     Y0, (DI)
-	ADDQ        $32, DI
-	ADDQ        $32, SI
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	SUBQ        $4, CX
-	JMP         rowf_loop4
-
-rowf_loop1:
-	TESTQ CX, CX
-	JEQ   rowf_done
-	VMOVSD      (DI), X0
-	VMOVSD      (SI), X2
-	VFMADD231SD X2, X4, X0
-	VMOVSD      (R8), X2
-	VFMADD231SD X2, X5, X0
-	VMOVSD      (R9), X2
-	VFMADD231SD X2, X6, X0
-	VMOVSD      (R10), X2
-	VFMADD231SD X2, X7, X0
-	VMOVSD      X0, (DI)
-	ADDQ        $8, DI
-	ADDQ        $8, SI
-	ADDQ        $8, R8
-	ADDQ        $8, R9
-	ADDQ        $8, R10
-	DECQ        CX
-	JMP         rowf_loop1
-
-rowf_done:
-	VZEROUPPER
-	RET
-
-// func ntRow8AVX2(a, bj *float64, k4, kstride int, sums *float64)
-// Eight dot-product lanes at once: sums[c] = Σ_{p<k4} a[p]*b[j+c][p] for
-// c in 0..7, rows c at bj + c*kstride*8. Two accumulator registers give
-// two independent FP add chains (the 4-lane kernel's single chain is
-// latency-bound), and one transpose pass per 4 p's feeds both. Each lane
-// is still a fresh sequential sum over ascending p — the NT contract —
-// so widening changes nothing bitwise. k4 must be a multiple of 4.
-TEXT ·ntRow8AVX2(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ bj+8(FP), BX
-	MOVQ k4+16(FP), CX
-	MOVQ kstride+24(FP), DX
-	SHLQ $3, DX       // row stride in bytes
-	MOVQ BX, R8       // rows j..j+7
-	LEAQ (BX)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
-	LEAQ (R13)(DX*1), R14
-	LEAQ (R14)(DX*1), R15
-	VXORPD Y0, Y0, Y0 // sums lanes 0..3
-	VXORPD Y1, Y1, Y1 // sums lanes 4..7
-
-nt8_loop4:
-	TESTQ CX, CX
-	JEQ   nt8_done
-
-	// Transpose rows 0..3 into TA0..TA3 = Y2..Y5.
-	VMOVUPD    (R8), Y2
-	VMOVUPD    (R9), Y3
-	VMOVUPD    (R10), Y4
-	VMOVUPD    (R11), Y5
-	VUNPCKLPD  Y3, Y2, Y6
-	VUNPCKHPD  Y3, Y2, Y7
-	VUNPCKLPD  Y5, Y4, Y8
-	VUNPCKHPD  Y5, Y4, Y9
-	VPERM2F128 $0x20, Y8, Y6, Y2 // TA0
-	VPERM2F128 $0x20, Y9, Y7, Y3 // TA1
-	VPERM2F128 $0x31, Y8, Y6, Y4 // TA2
-	VPERM2F128 $0x31, Y9, Y7, Y5 // TA3
-
-	// Transpose rows 4..7 into TB0..TB3 = Y6..Y9.
-	VMOVUPD    (R12), Y6
-	VMOVUPD    (R13), Y7
-	VMOVUPD    (R14), Y8
-	VMOVUPD    (R15), Y9
-	VUNPCKLPD  Y7, Y6, Y10
-	VUNPCKHPD  Y7, Y6, Y11
-	VUNPCKLPD  Y9, Y8, Y12
-	VUNPCKHPD  Y9, Y8, Y13
-	VPERM2F128 $0x20, Y12, Y10, Y6 // TB0
-	VPERM2F128 $0x20, Y13, Y11, Y7 // TB1
-	VPERM2F128 $0x31, Y12, Y10, Y8 // TB2
-	VPERM2F128 $0x31, Y13, Y11, Y9 // TB3
-
-	// sums += a[p+q]*T_q, q ascending; the two chains interleave.
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y2, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y6, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 8(SI), Y10
-	VMULPD       Y3, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y7, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 16(SI), Y10
-	VMULPD       Y4, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y8, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 24(SI), Y10
-	VMULPD       Y5, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y9, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	ADDQ $32, R14
-	ADDQ $32, R15
-	SUBQ $4, CX
-	JMP  nt8_loop4
-
-nt8_done:
-	MOVQ    sums+32(FP), DI
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET
 
@@ -856,11 +327,12 @@ actsig_done:
 	RET
 
 // func gemmRowNZAVX2(o, bdata, avs *float64, ps *int32, nz, n int)
-// One call per output row: processes ALL nz compacted multipliers —
-// groups of four through the fused 4-stream loop (identical op order to
-// gemmRow4AVX2), the nz%4 remainder as single-stream axpys. Hoisting the
-// group loop out of Go removes the per-4-multiplier call overhead that
-// dominated small-n GEMMs.
+// One call per output row: o[j] += avs[q]*b[ps[q]][j] for q in [0, nz)
+// ascending, j in [0, n). Groups of four multipliers go through one
+// 4-stream loop (four sequential mul+adds per element, in q order), the
+// nz%4 remainder as single-stream axpys. Hoisting the group loop out of
+// Go removes the per-4-multiplier call overhead that dominated small-n
+// GEMMs.
 TEXT ·gemmRowNZAVX2(SB), NOSPLIT, $0-48
 	MOVQ o+0(FP), DI
 	MOVQ bdata+8(FP), BX
@@ -1042,7 +514,7 @@ rownz_done:
 // One call per NT output row: o[j] += Σ_p a[p]*b[j..][p] for j in
 // [0, n4), n4 a multiple of 4, b rows contiguous with stride k. Lanes go
 // 8 at a time (two independent accumulator chains, register-transposed
-// 4×4 blocks — the ntRow8AVX2 body) then 4; the p-tail past k4 = k&^3 is
+// 4×4 blocks) then 4; the p-tail past k4 = k&^3 is
 // gathered with scalar loads into one vector step per p. Every lane
 // remains a fresh sequential sum over ascending p added once into o —
 // the NT contract — with the n%4 column tail left to the Go wrapper.
@@ -1259,219 +731,5 @@ ntb4_store:
 	JMP     ntb_group4
 
 ntb_done:
-	VZEROUPPER
-	RET
-
-// func gemmRowNZAVX512(o, bdata, avs *float64, ps *int32, nz, n int)
-// The gemmRowNZAVX2 full-row driver with 8-wide zmm vectors: all nz
-// compacted multipliers in one call, groups of four through the fused
-// loop (gemmRow4AVX512's op order), remainder as single-stream axpys.
-// Tails narrow 512→256→scalar exactly like the 4-stream kernel.
-TEXT ·gemmRowNZAVX512(SB), NOSPLIT, $0-48
-	MOVQ o+0(FP), DI
-	MOVQ bdata+8(FP), BX
-	MOVQ avs+16(FP), AX
-	MOVQ ps+24(FP), DX
-	MOVQ nz+32(FP), CX
-	MOVQ n+40(FP), R12
-
-rownz5_group:
-	CMPQ CX, $4
-	JLT  rownz5_rem
-
-	MOVLQSX (DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R8
-	MOVLQSX 4(DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R9
-	MOVLQSX 8(DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R10
-	MOVLQSX 12(DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R11
-
-	VBROADCASTSD (AX), Z4
-	VBROADCASTSD 8(AX), Z5
-	VBROADCASTSD 16(AX), Z6
-	VBROADCASTSD 24(AX), Z7
-	MOVQ         DI, R13
-	MOVQ         R12, R14
-
-rownz5_loop16:
-	CMPQ R14, $16
-	JLT  rownz5_loop8
-	VMOVUPD (R13), Z0
-	VMOVUPD 64(R13), Z1
-	VMULPD  (R8), Z4, Z2
-	VMULPD  64(R8), Z4, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMULPD  (R9), Z5, Z2
-	VMULPD  64(R9), Z5, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMULPD  (R10), Z6, Z2
-	VMULPD  64(R10), Z6, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMULPD  (R11), Z7, Z2
-	VMULPD  64(R11), Z7, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMOVUPD Z0, (R13)
-	VMOVUPD Z1, 64(R13)
-	ADDQ    $128, R13
-	ADDQ    $128, R8
-	ADDQ    $128, R9
-	ADDQ    $128, R10
-	ADDQ    $128, R11
-	SUBQ    $16, R14
-	JMP     rownz5_loop16
-
-rownz5_loop8:
-	CMPQ R14, $8
-	JLT  rownz5_loop4
-	VMOVUPD (R13), Z0
-	VMULPD  (R8), Z4, Z2
-	VADDPD  Z2, Z0, Z0
-	VMULPD  (R9), Z5, Z2
-	VADDPD  Z2, Z0, Z0
-	VMULPD  (R10), Z6, Z2
-	VADDPD  Z2, Z0, Z0
-	VMULPD  (R11), Z7, Z2
-	VADDPD  Z2, Z0, Z0
-	VMOVUPD Z0, (R13)
-	ADDQ    $64, R13
-	ADDQ    $64, R8
-	ADDQ    $64, R9
-	ADDQ    $64, R10
-	ADDQ    $64, R11
-	SUBQ    $8, R14
-	JMP     rownz5_loop8
-
-rownz5_loop4:
-	CMPQ R14, $4
-	JLT  rownz5_loop1
-	VMOVUPD (R13), Y0
-	VMULPD  (R8), Y4, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R9), Y5, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R10), Y6, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R11), Y7, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (R13)
-	ADDQ    $32, R13
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	SUBQ    $4, R14
-	JMP     rownz5_loop4
-
-rownz5_loop1:
-	TESTQ R14, R14
-	JEQ   rownz5_group_done
-	VMOVSD (R13), X0
-	VMOVSD (R8), X2
-	VMULSD X4, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R9), X2
-	VMULSD X5, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R10), X2
-	VMULSD X6, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R11), X2
-	VMULSD X7, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (R13)
-	ADDQ   $8, R13
-	ADDQ   $8, R8
-	ADDQ   $8, R9
-	ADDQ   $8, R10
-	ADDQ   $8, R11
-	DECQ   R14
-	JMP    rownz5_loop1
-
-rownz5_group_done:
-	ADDQ $32, AX
-	ADDQ $16, DX
-	SUBQ $4, CX
-	JMP  rownz5_group
-
-rownz5_rem:
-	TESTQ CX, CX
-	JEQ   rownz5_done
-	MOVLQSX (DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R8
-	VBROADCASTSD (AX), Z4
-	MOVQ    DI, R13
-	MOVQ    R12, R14
-
-rownz5_rem16:
-	CMPQ R14, $16
-	JLT  rownz5_rem8
-	VMOVUPD (R13), Z0
-	VMOVUPD 64(R13), Z1
-	VMULPD  (R8), Z4, Z2
-	VMULPD  64(R8), Z4, Z3
-	VADDPD  Z2, Z0, Z0
-	VADDPD  Z3, Z1, Z1
-	VMOVUPD Z0, (R13)
-	VMOVUPD Z1, 64(R13)
-	ADDQ    $128, R13
-	ADDQ    $128, R8
-	SUBQ    $16, R14
-	JMP     rownz5_rem16
-
-rownz5_rem8:
-	CMPQ R14, $8
-	JLT  rownz5_rem4
-	VMOVUPD (R13), Z0
-	VMULPD  (R8), Z4, Z2
-	VADDPD  Z2, Z0, Z0
-	VMOVUPD Z0, (R13)
-	ADDQ    $64, R13
-	ADDQ    $64, R8
-	SUBQ    $8, R14
-	JMP     rownz5_rem8
-
-rownz5_rem4:
-	CMPQ R14, $4
-	JLT  rownz5_rem1
-	VMOVUPD (R13), Y0
-	VMULPD  (R8), Y4, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (R13)
-	ADDQ    $32, R13
-	ADDQ    $32, R8
-	SUBQ    $4, R14
-	JMP     rownz5_rem4
-
-rownz5_rem1:
-	TESTQ R14, R14
-	JEQ   rownz5_rem_done
-	VMOVSD (R13), X0
-	VMOVSD (R8), X2
-	VMULSD X4, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (R13)
-	ADDQ   $8, R13
-	ADDQ   $8, R8
-	DECQ   R14
-	JMP    rownz5_rem1
-
-rownz5_rem_done:
-	ADDQ $8, AX
-	ADDQ $4, DX
-	DECQ CX
-	JMP  rownz5_rem
-
-rownz5_done:
 	VZEROUPPER
 	RET

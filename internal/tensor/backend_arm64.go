@@ -29,7 +29,7 @@ func registerARM64Backends() struct{} {
 // exactly like the scalar reference. AxpyRow also feeds the CSR
 // MulDense/MulDenseT row kernels through the package dispatcher. The
 // GEMM drivers are inherited from the tuned backend (compaction +
-// gemmRow4Go/ntRowGo), whose ILP restructuring is ISA-independent.
+// gemmRowGo/ntRowGo), whose ILP restructuring is ISA-independent.
 type neonBackend struct{ tunedBackend }
 
 func (neonBackend) Name() string { return "neon" }

@@ -13,15 +13,13 @@ import (
 // SIMD tails (n%16, n%8, n%4 remainders), k spans crossing the
 // matMulKBlock panel boundary, the nz%4 compaction remainder, aliased
 // slices, and non-finite inputs through the branchless blend kernels.
-// The one sanctioned divergence, the VRDAG_FMA=1 tolerance mode, is
-// pinned separately by TestFMAToleranceULP (backend_amd64_fma_test.go).
 
 // diffBackends returns the compiled backends to hold against the
-// reference, excluding purego itself and the opt-in FMA mode.
+// reference, excluding purego itself.
 func diffBackends() []Backend {
 	var bs []Backend
 	for _, b := range compiledBackends {
-		if b.Name() == "purego" || b.Name() == "avx2+fma" {
+		if b.Name() == "purego" {
 			continue
 		}
 		bs = append(bs, b)
@@ -84,9 +82,9 @@ var gemmVariants = []gemmVariant{
 // fails this way.
 func TestBackendDifferentialGEMM(t *testing.T) {
 	ref := pureBackend{}
-	// Shape grid: every n remainder class mod 16/8/4 (zmm, ymm, and
-	// 4-lane tails), k crossing the matMulKBlock=128 panel boundary, and
-	// the avx512MinCols dispatch cut at n=32.
+	// Shape grid: every n remainder class mod 16/8/4 (the 8- and 4-lane
+	// groups and scalar tails), and k crossing the matMulKBlock=128 panel
+	// boundary.
 	ms := []int{1, 2, 3, 5, 8, 17}
 	ks := []int{1, 2, 3, 4, 7, 8, 31, 32, 127, 128, 129, 130}
 	ns := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65}

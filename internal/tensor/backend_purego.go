@@ -6,7 +6,7 @@ import "math"
 // every backend. Transcendentals go through math.Tanh/math.Exp on all
 // paths so their rounding is identical everywhere; a backend that swaps
 // in a polynomial approximation must also opt out of the bit-exact
-// differential suite (see the FMA tolerance mode).
+// differential suite.
 type scalarKernels struct{}
 
 func (scalarKernels) VSigmoid(x []float64) {

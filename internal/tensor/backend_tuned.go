@@ -12,7 +12,7 @@ package tensor
 // The two ideas:
 //
 //   - GemmNN/GemmTN compact each row's nonzero multipliers first, then
-//     fuse four of them per pass over the output row (gemmRow4Go): one
+//     fuse four of them per pass over the output row (gemmRowGo): one
 //     load/store of out[i][j] now carries four multiply-adds, quartering
 //     the memory traffic of the reference's one-axpy-per-p form. The adds
 //     land in ascending-p order, one at a time — the exact reference
@@ -24,7 +24,7 @@ package tensor
 //     nothing changed.
 //
 // The same compaction drivers power the assembly backends: they pass a
-// SIMD row kernel instead of gemmRow4Go/ntRowGo.
+// SIMD row kernel instead of gemmRowGo/ntRowGo.
 type tunedBackend struct{ pureBackend }
 
 func (tunedBackend) Name() string { return "tuned" }
@@ -67,7 +67,7 @@ func (tunedBackend) GemmNN(out, a, b *Matrix) {
 			if nz == 0 {
 				continue
 			}
-			gemmRow4Go(out.Data[i*n:(i+1)*n], b.Data, avs[:nz], ps[:nz], n)
+			gemmRowGo(out.Data[i*n:(i+1)*n], b.Data, avs[:nz], ps[:nz], n)
 		}
 	}
 }
@@ -101,7 +101,7 @@ func (tunedBackend) GemmTN(out, a, b *Matrix) {
 			if nz == 0 {
 				continue
 			}
-			gemmRow4Go(out.Data[i*n:(i+1)*n], b.Data, avs[:nz], ps[:nz], n)
+			gemmRowGo(out.Data[i*n:(i+1)*n], b.Data, avs[:nz], ps[:nz], n)
 		}
 	}
 }
@@ -117,10 +117,10 @@ func (tunedBackend) GemmNT(out, a, b *Matrix) {
 	}
 }
 
-// gemmRow4Go fuses four compacted multipliers per pass over the output
+// gemmRowGo fuses four compacted multipliers per pass over the output
 // row; the adds into v stay one-at-a-time in ascending-q (= ascending-p)
 // order, so each element's rounding sequence matches the reference.
-func gemmRow4Go(orow, bdata []float64, avs []float64, ps []int32, n int) {
+func gemmRowGo(orow, bdata []float64, avs []float64, ps []int32, n int) {
 	q := 0
 	for ; q+3 < len(avs); q += 4 {
 		a0, a1, a2, a3 := avs[q], avs[q+1], avs[q+2], avs[q+3]

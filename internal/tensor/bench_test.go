@@ -140,9 +140,9 @@ func benchTapeSched(b *testing.B, s Sched, ckptEvery int) {
 // BenchmarkTapeBackwardPlain is the record-order executor baseline.
 func BenchmarkTapeBackwardPlain(b *testing.B) { benchTapeSched(b, Sched{}, 0) }
 
-// BenchmarkTapeBackwardSched runs lifetime release + fusion.
+// BenchmarkTapeBackwardSched runs lifetime release.
 func BenchmarkTapeBackwardSched(b *testing.B) {
-	benchTapeSched(b, Sched{Lifetime: true, Fuse: true}, 0)
+	benchTapeSched(b, Sched{Lifetime: true}, 0)
 }
 
 // BenchmarkTapeBackwardCkpt adds rematerialization segments of 3 steps.

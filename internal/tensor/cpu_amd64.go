@@ -14,15 +14,13 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 type amd64Features struct {
-	avx2   bool // AVX2 ISA + OS support for YMM state
-	avx512 bool // AVX-512F ISA + OS support for opmask/ZMM state
-	fma    bool // FMA3 ISA (used only by the opt-in tolerance mode)
+	avx2 bool // AVX2 ISA + OS support for YMM state
 }
 
-// detectAMD64 probes the CPU and OS for the vector extensions the
+// detectAMD64 probes the CPU and OS for the vector extension the
 // assembly kernels need. Instruction support alone is not enough: the OS
-// must have enabled the wider register state in XCR0, or executing a
-// VEX/EVEX instruction faults.
+// must have enabled the YMM register state in XCR0, or executing a VEX
+// instruction faults.
 func detectAMD64() amd64Features {
 	var f amd64Features
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -31,7 +29,6 @@ func detectAMD64() amd64Features {
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
-		fmaBit     = 1 << 12
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
@@ -39,22 +36,14 @@ func detectAMD64() amd64Features {
 		return f
 	}
 	xcr0, _ := xgetbv()
-	const (
-		ymmState = 0x6  // XMM + YMM
-		zmmState = 0xe6 // XMM + YMM + opmask + ZMM_Hi256 + Hi16_ZMM
-	)
+	const ymmState = 0x6 // XMM + YMM
 	if xcr0&ymmState != ymmState {
 		return f
 	}
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ := cpuid(7, 0)
-		const (
-			avx2Bit    = 1 << 5
-			avx512fBit = 1 << 16
-		)
+		const avx2Bit = 1 << 5
 		f.avx2 = ebx7&avx2Bit != 0
-		f.avx512 = ebx7&avx512fBit != 0 && xcr0&zmmState == zmmState
 	}
-	f.fma = ecx1&fmaBit != 0
 	return f
 }

@@ -247,7 +247,7 @@ func axpyRow(dst, src []float64, a float64) {
 // kernel for the transpose variant. out must be pre-shaped; it is
 // accumulated into. Every backend honours the per-element accumulation
 // contract documented in backend.go, so results are bit-identical across
-// backends (FMA tolerance mode excepted).
+// backends.
 func matMulInto(out, a, b *Matrix, ta, tb bool) {
 	switch {
 	case !ta && !tb:

@@ -9,12 +9,7 @@ import (
 // lives in a recompute closure handed to Tape.newOp (which runs it once at
 // record time and keeps it for Checkpoint rematerialization), the backward
 // closure reads n.Value rather than a captured output matrix (the buffer
-// may have been dropped and rebuilt in between), and the full input list
-// is registered so the scheduler's use counts are exact. Fusable
-// elementwise consumers additionally offer a fused backward via prepFuse;
-// its scratch fill must mirror the standalone backward's floating-point
-// expressions exactly (same `+=` on a zeroed buffer, same operand order)
-// so scheduled and plain sweeps stay bit-identical.
+// may have been dropped and rebuilt in between).
 
 // ---- Elementwise binary operations ----
 
@@ -29,7 +24,7 @@ func (t *Tape) Add(a, b *Node) *Node {
 			out.Data[i] = v + b.Value.Data[i]
 		}
 		return out
-	}, a, b)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
@@ -52,7 +47,7 @@ func (t *Tape) Sub(a, b *Node) *Node {
 			out.Data[i] = v - b.Value.Data[i]
 		}
 		return out
-	}, a, b)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
@@ -75,7 +70,7 @@ func (t *Tape) Mul(a, b *Node) *Node {
 			out.Data[i] = a.Value.Data[i] * b.Value.Data[i]
 		}
 		return out
-	}, a, b)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -101,19 +96,12 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 			out.Data[i] = v * s
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().Axpy(s, n.Grad)
 		}
 	}
-	n.info = opInfo{kind: opElemAffineKind, src: a, scale: s}
-	t.prepFuse(n, a, func(d *Matrix) {
-		// Mirrors Axpy(s, n.Grad) into a zeroed buffer.
-		for i := range d.Data {
-			d.Data[i] += s * n.Grad.Data[i]
-		}
-	})
 	return n
 }
 
@@ -125,19 +113,12 @@ func (t *Tape) AddScalar(a *Node, s float64) *Node {
 			out.Data[i] = v + s
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
 		}
 	}
-	n.info = opInfo{kind: opElemAffineKind, src: a, scale: 1}
-	t.prepFuse(n, a, func(d *Matrix) {
-		// Mirrors AddInPlace(n.Grad) into a zeroed buffer.
-		for i := range d.Data {
-			d.Data[i] += n.Grad.Data[i]
-		}
-	})
 	return n
 }
 
@@ -151,20 +132,12 @@ func (t *Tape) AddRowVec(a, b *Node) *Node {
 		copy(out.Data, a.Value.Data)
 		out.AddRowVecInPlace(b.Value)
 		return out
-	}, a, b)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
 		}
-		if b.needGrad {
-			g := b.grad()
-			for i := 0; i < n.Grad.Rows; i++ {
-				row := n.Grad.Row(i)
-				for j := range g.Data {
-					g.Data[j] += row[j]
-				}
-			}
-		}
+		biasGrad(b, n.Grad)
 	}
 	return n
 }
@@ -185,7 +158,7 @@ func (t *Tape) MulColVec(a, b *Node) *Node {
 			}
 		}
 		return out
-	}, a, b)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -220,17 +193,35 @@ func (t *Tape) MulColVec(a, b *Node) *Node {
 func (t *Tape) MatMul(a, b *Node) *Node {
 	n := t.newOp(anyGrad(a, b), func() *Matrix {
 		return MatMul(a.Value, b.Value)
-	}, a, b)
-	n.backward = func() {
-		if a.needGrad { // dA = dOut · Bᵀ
-			matMulInto(a.grad(), n.Grad, b.Value, false, true)
-		}
-		if b.needGrad { // dB = Aᵀ · dOut
-			matMulInto(b.grad(), a.Value, n.Grad, true, false)
+	})
+	n.backward = func() { matMulGrads(n.Grad, a, b) }
+	return n
+}
+
+// matMulGrads accumulates the gradients of x·w given the output gradient
+// dOut: dX += dOut·Wᵀ, then dW += Xᵀ·dOut.
+func matMulGrads(dOut *Matrix, x, w *Node) {
+	if x.needGrad {
+		matMulInto(x.grad(), dOut, w.Value, false, true)
+	}
+	if w.needGrad {
+		matMulInto(w.grad(), x.Value, dOut, true, false)
+	}
+}
+
+// biasGrad accumulates the gradient of a row-broadcast bias b: the column
+// sums of dOut, added row by row.
+func biasGrad(b *Node, dOut *Matrix) {
+	if !b.needGrad {
+		return
+	}
+	g := b.grad()
+	for i := 0; i < dOut.Rows; i++ {
+		row := dOut.Row(i)
+		for j := range g.Data {
+			g.Data[j] += row[j]
 		}
 	}
-	n.info = opInfo{kind: opMatMulKind, x: a, w: b}
-	return n
 }
 
 // SpMM returns s·a where s is a constant sparse matrix (graph adjacency).
@@ -239,13 +230,12 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 func (t *Tape) SpMM(s *CSR, a *Node) *Node {
 	n := t.newOp(a.needGrad, func() *Matrix {
 		return s.MulDense(a.Value)
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			s.MulDenseTInto(a.grad(), n.Grad)
 		}
 	}
-	n.info = opInfo{kind: opSpMMKind, x: a, csr: s}
 	return n
 }
 
@@ -325,15 +315,15 @@ func (t *Tape) Affine(x, w, b *Node, act Act) *Node {
 		out.AddRowVecInPlace(b.Value)
 		applyActSlice(out.Data, act)
 		return out
-	}, x, w, b)
+	})
 	n.backward = func() {
 		dPre, scratch := preGrad(n.Value, n.Grad, act)
-		producerGrads(n, dPre)
+		matMulGrads(dPre, x, w)
+		biasGrad(b, dPre)
 		if scratch {
 			Put(dPre)
 		}
 	}
-	n.info = opInfo{kind: opAffineKind, act: act, x: x, w: w, b: b}
 	return n
 }
 
@@ -352,15 +342,16 @@ func (t *Tape) Affine2(x, wx, h, wh, b *Node, act Act) *Node {
 		out.AddRowVecInPlace(b.Value)
 		applyActSlice(out.Data, act)
 		return out
-	}, x, wx, h, wh, b)
+	})
 	n.backward = func() {
 		dPre, scratch := preGrad(n.Value, n.Grad, act)
-		producerGrads(n, dPre)
+		matMulGrads(dPre, x, wx)
+		matMulGrads(dPre, h, wh)
+		biasGrad(b, dPre)
 		if scratch {
 			Put(dPre)
 		}
 	}
-	n.info = opInfo{kind: opAffineKind, act: act, x: x, w: wx, h: h, u: wh, b: b}
 	return n
 }
 
@@ -377,7 +368,7 @@ func (t *Tape) Lerp(a, b, z *Node) *Node {
 			out.Data[i] = av + z.Value.Data[i]*(b.Value.Data[i]-av)
 		}
 		return out
-	}, a, b, z)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -410,7 +401,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 		copy(out.Data, a.Value.Data)
 		backendImpl.VSigmoid(out.Data)
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -420,12 +411,6 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 			}
 		}
 	}
-	t.prepFuse(n, a, func(d *Matrix) {
-		for i := range d.Data {
-			y := n.Value.Data[i]
-			d.Data[i] += n.Grad.Data[i] * y * (1 - y)
-		}
-	})
 	return n
 }
 
@@ -436,7 +421,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 		copy(out.Data, a.Value.Data)
 		backendImpl.VTanh(out.Data)
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -446,12 +431,6 @@ func (t *Tape) Tanh(a *Node) *Node {
 			}
 		}
 	}
-	t.prepFuse(n, a, func(d *Matrix) {
-		for i := range d.Data {
-			y := n.Value.Data[i]
-			d.Data[i] += n.Grad.Data[i] * (1 - y*y)
-		}
-	})
 	return n
 }
 
@@ -463,7 +442,7 @@ func (t *Tape) ReLU(a *Node) *Node {
 			out.Data[i] = math.Max(0, v)
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -474,13 +453,6 @@ func (t *Tape) ReLU(a *Node) *Node {
 			}
 		}
 	}
-	t.prepFuse(n, a, func(d *Matrix) {
-		for i := range d.Data {
-			if a.Value.Data[i] > 0 {
-				d.Data[i] += n.Grad.Data[i]
-			}
-		}
-	})
 	return n
 }
 
@@ -496,7 +468,7 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 			}
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -509,15 +481,6 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 			}
 		}
 	}
-	t.prepFuse(n, a, func(d *Matrix) {
-		for i := range d.Data {
-			if a.Value.Data[i] > 0 {
-				d.Data[i] += n.Grad.Data[i]
-			} else {
-				d.Data[i] += n.Grad.Data[i] * slope
-			}
-		}
-	})
 	return n
 }
 
@@ -529,7 +492,7 @@ func (t *Tape) Exp(a *Node) *Node {
 		copy(out.Data, a.Value.Data)
 		backendImpl.VExp(out.Data)
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -549,7 +512,7 @@ func (t *Tape) Log(a *Node) *Node {
 			out.Data[i] = math.Log(math.Max(v, 1e-12))
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -569,7 +532,7 @@ func (t *Tape) Sin(a *Node) *Node {
 			out.Data[i] = math.Sin(v)
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -589,7 +552,7 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 			softmaxInto(out.Row(i), a.Value.Row(i))
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if !a.needGrad {
 			return
@@ -662,7 +625,7 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 			off += c
 		}
 		return out
-	}, parts...)
+	})
 	n.backward = func() {
 		off := 0
 		for _, p := range parts {
@@ -695,7 +658,7 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 			copy(out.Row(i), a.Value.Row(i)[lo:hi])
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -720,7 +683,7 @@ func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 			copy(out.Row(k), a.Value.Row(i))
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -753,7 +716,7 @@ func (t *Tape) ScatterAddRows(a *Node, idx []int, outRows int) *Node {
 			}
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -801,7 +764,7 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 			}
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if !a.needGrad {
 			return
@@ -826,7 +789,7 @@ func (t *Tape) SumAll(a *Node) *Node {
 		out := Get(1, 1)
 		out.Data[0] = a.Value.Sum()
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -861,7 +824,7 @@ func (t *Tape) SumRows(a *Node) *Node {
 			out.Data[i] = s
 		}
 		return out
-	}, a)
+	})
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -897,7 +860,7 @@ func (t *Tape) BCEWithLogits(logits *Node, targets *Matrix) *Node {
 		out := Get(1, 1)
 		out.Data[0] = loss / count
 		return out
-	}, logits)
+	})
 	n.backward = func() {
 		if logits.needGrad {
 			g := logits.grad()
@@ -928,7 +891,7 @@ func (t *Tape) BCEProb(p *Node, targets *Matrix) *Node {
 		out := Get(1, 1)
 		out.Data[0] = loss / count
 		return out
-	}, p)
+	})
 	n.backward = func() {
 		if p.needGrad {
 			g := p.grad()
@@ -979,7 +942,7 @@ func (t *Tape) SCELoss(xhat *Node, x *Matrix, alpha float64) *Node {
 			out.Data[0] = loss / float64(rows)
 		}
 		return out
-	}, xhat)
+	})
 	n.backward = func() {
 		if !xhat.needGrad || rows == 0 {
 			return
@@ -1022,7 +985,7 @@ func (t *Tape) MSELoss(xhat *Node, x *Matrix) *Node {
 			out.Data[0] = loss / count
 		}
 		return out
-	}, xhat)
+	})
 	n.backward = func() {
 		if xhat.needGrad && count > 0 {
 			g := xhat.grad()
@@ -1064,7 +1027,7 @@ func (t *Tape) GaussianKL(muQ, logSigQ, muP, logSigP *Node) *Node {
 		out := Get(1, 1)
 		out.Data[0] = kl
 		return out
-	}, muQ, logSigQ, muP, logSigP)
+	})
 	n.backward = func() {
 		d := n.Grad.Data[0]
 		for i := 0; i < size; i++ {

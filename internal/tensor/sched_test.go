@@ -13,40 +13,6 @@ func deepChain(tp *Tape, n, steps int, seed int64) (loss, leaf *Node) {
 	return tp.SumAll(cur), leaf
 }
 
-// TestSchedFusionFires asserts the fusion pass actually rewrites the
-// canonical activation-after-affine pattern (rather than silently falling
-// back to the standalone closures).
-func TestSchedFusionFires(t *testing.T) {
-	tp := NewTape()
-	tp.SetSched(SchedAll)
-	x, w, b := tp.Var(testMat(3, 4, 1)), tp.Var(testMat(4, 2, 2)), tp.Var(testMat(1, 2, 3))
-	loss := tp.SumAll(tp.Sigmoid(tp.Affine(x, w, b, ActIdent)))
-	tp.Keep(loss)
-	before := tp.FusedBackwards()
-	tp.Backward(loss)
-	if got := tp.FusedBackwards() - before; got != 1 {
-		t.Fatalf("FusedBackwards delta = %d, want 1", got)
-	}
-	tp.Reset()
-}
-
-// TestSchedFusionBlockedByMultipleConsumers asserts the single-consumer
-// gate: a producer feeding two activations must keep its own backward.
-func TestSchedFusionBlockedByMultipleConsumers(t *testing.T) {
-	tp := NewTape()
-	tp.SetSched(SchedAll)
-	x, w, b := tp.Var(testMat(3, 4, 1)), tp.Var(testMat(4, 2, 2)), tp.Var(testMat(1, 2, 3))
-	pre := tp.Affine(x, w, b, ActIdent)
-	loss := tp.SumAll(tp.Add(tp.Sigmoid(pre), tp.Tanh(pre)))
-	tp.Keep(loss)
-	before := tp.FusedBackwards()
-	tp.Backward(loss)
-	if got := tp.FusedBackwards() - before; got != 0 {
-		t.Fatalf("FusedBackwards delta = %d, want 0 (two consumers)", got)
-	}
-	tp.Reset()
-}
-
 // TestSchedReleaseShrinksPeak pins the point of the lifetime pass: on a
 // deep chain the scheduled executor's peak live bytes must come in well
 // under the plain executor's, and the tape must be empty (zero live bytes)
@@ -104,7 +70,7 @@ func TestSchedCheckpointShrinksPeak(t *testing.T) {
 	}
 	liveCk, tpCk, lossCk := record(true)
 	tp2 := NewTape() // plain: no segments at all
-	tp2.SetSched(Sched{Lifetime: true, Fuse: true})
+	tp2.SetSched(Sched{Lifetime: true})
 	lossFlat, _ := deepChain(tp2, 64, 24, 9)
 	tp2.Keep(lossFlat)
 	liveFlat := tp2.LiveBytes()

@@ -16,17 +16,12 @@ type Node struct {
 	Value    *Matrix
 	Grad     *Matrix
 	needGrad bool
-	pooled   bool  // Value is arena-owned and reclaimed by the tape
-	keep     bool  // Value must stay resident until Reset (read after Backward)
-	dropped  bool  // Value dropped by a Checkpoint segment, pending rematerialization
-	uses     int32 // how many times this node is consumed as an op input
-	segEnd   int32 // end index of the segment that dropped this node
+	pooled   bool // Value is arena-owned and reclaimed by the tape
+	keep     bool // Value must stay resident until Reset (read after Backward)
+	dropped  bool // Value dropped by a Checkpoint segment, pending rematerialization
 	tape     *Tape
 	backward func()
 	fwd      func() *Matrix // recompute closure; rebuilds Value from parent Values
-	fused    func()         // candidate bypassing backward, installed by the fusion pass
-	fuseSrc  *Node          // sole producer the fused closure would bypass
-	info     opInfo
 }
 
 // RequiresGrad reports whether gradients are tracked for this node.
@@ -52,10 +47,9 @@ func (n *Node) grad() *Matrix {
 // allocated from the pooled arena and owned by the tape. By default all of
 // them stay live until Reset, so a reused tape (TBPTT windows, repeated
 // epochs) runs with near-zero steady-state allocation. SetSched turns on
-// the scheduled executor, which releases dead buffers mid-Backward,
-// fuses recorded elementwise chains into their producers, and honours
-// Checkpoint rematerialization segments — all while computing bit-identical
-// results (see AssertSchedEquiv). Matrices wrapped by Var and Const are
+// the scheduled executor, which releases dead buffers mid-Backward and
+// honours Checkpoint rematerialization segments — all while computing
+// bit-identical results (see AssertSchedEquiv). Matrices wrapped by Var and Const are
 // caller-owned and never reclaimed; values that must survive a Reset (the
 // detached hidden state, loss scalars) must be copied out first, and values
 // read after a scheduled Backward must be pinned with Keep.
@@ -67,9 +61,8 @@ type Tape struct {
 	segDepth int
 	segStart int
 
-	live     int64 // bytes of tape-owned buffers currently checked out
-	peak     int64 // high-water mark of live (survives Reset)
-	fusedOps int64 // backward closures replaced by the fusion pass (cumulative)
+	live int64 // bytes of tape-owned buffers currently checked out
+	peak int64 // high-water mark of live (survives Reset)
 }
 
 // seg is a closed Checkpoint segment: nodes[start:end] recorded inside it.
@@ -131,13 +124,8 @@ func (t *Tape) op(v *Matrix, needGrad bool) *Node {
 
 // newOp runs fwd once to materialise the output, records it as a pooled
 // node, and retains fwd so Checkpoint segments can rematerialize the value
-// during Backward. Every taped operation registers its full input list
-// here; the scheduler's fusion gate relies on the resulting use counts
-// being exact.
-func (t *Tape) newOp(needGrad bool, fwd func() *Matrix, ins ...*Node) *Node {
-	for _, in := range ins {
-		in.uses++
-	}
+// during Backward.
+func (t *Tape) newOp(needGrad bool, fwd func() *Matrix) *Node {
 	n := t.op(fwd(), needGrad)
 	n.fwd = fwd
 	return n
@@ -171,10 +159,8 @@ func (t *Tape) Var(m *Matrix) *Node {
 // propagates gradients through every recorded operation in reverse order.
 // Gradients accumulate into Node.Grad.
 //
-// With scheduling enabled the sweep additionally (a) swaps in fused
-// backward closures for single-consumer elementwise chains, (b)
-// rematerializes Checkpoint segments just before their nodes are needed,
-// and (c) releases each operation's Value and Grad back to the arena as
+// With scheduling enabled the sweep additionally (a) rematerializes
+// Checkpoint segments just before their nodes are needed, and (b) releases each operation's Value and Grad back to the arena as
 // soon as the sweep passes it — a node's buffers are dead once its own
 // closure has run, because every consumer sits later on the tape and has
 // already executed. Values pinned with Keep and all Var/Const buffers are
@@ -188,9 +174,6 @@ func (t *Tape) Backward(loss *Node) {
 		panic("tensor: Backward inside an open Checkpoint segment")
 	}
 	loss.grad().Data[0] = 1
-	if t.sched.Fuse {
-		t.fusePass()
-	}
 	si := len(t.segs) - 1
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		for si >= 0 && t.segs[si].end-1 == i {
