@@ -115,9 +115,10 @@ type Config struct {
 	UseTime2Vec bool
 
 	// CandidateCap bounds the per-node candidate set scored by the
-	// MixBernoulli sampler during generation. 0 means exact O(N²) decoding;
-	// large graphs default to 128 candidates per node (history plus an
-	// activity-proportional random sample), keeping one-shot decoding
+	// MixBernoulli sampler during generation: the node's previous
+	// out-neighbours plus an activity-proportional random sample, up to
+	// this many. 0 (or any cap ≥ N−1) means exact O(N²) decoding.
+	// DefaultConfig sets 128 at every N, keeping one-shot decoding
 	// tractable on CPU.
 	CandidateCap int
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -147,31 +148,38 @@ func TestGenerateRejectsBadT(t *testing.T) {
 
 func TestGenerateDeterministicForSeed(t *testing.T) {
 	g := toyGraph(10, 1, 3, 3)
-	m := New(smallConfig(10, 1))
-	if _, err := m.Fit(g); err != nil {
-		t.Fatal(err)
-	}
-	a, err := m.GenerateOpts(GenOptions{T: 3, Seed: 99, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.GenerateOpts(GenOptions{T: 3, Seed: 99, Parallel: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt := 0; tt < 3; tt++ {
-		sa, sb := a.At(tt), b.At(tt)
-		if sa.NumEdges() != sb.NumEdges() {
-			t.Fatalf("t=%d: parallel and serial decode disagree (%d vs %d edges)",
-				tt, sa.NumEdges(), sb.NumEdges())
-		}
-		for u := 0; u < 10; u++ {
-			for _, v := range sa.Out[u] {
-				if !sb.HasEdge(u, v) {
-					t.Fatalf("t=%d: edge %d->%d only in parallel run", tt, u, v)
+	// Cap 0 scores every pair; cap 4 draws candidates from the alias table.
+	for _, capN := range []int{0, 4} {
+		t.Run(fmt.Sprintf("cap=%d", capN), func(t *testing.T) {
+			cfg := smallConfig(10, 1)
+			cfg.CandidateCap = capN
+			m := New(cfg)
+			if _, err := m.Fit(g); err != nil {
+				t.Fatal(err)
+			}
+			a, err := m.GenerateOpts(GenOptions{T: 3, Seed: 99, Parallel: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := m.GenerateOpts(GenOptions{T: 3, Seed: 99, Parallel: false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tt := 0; tt < 3; tt++ {
+				sa, sb := a.At(tt), b.At(tt)
+				if sa.NumEdges() != sb.NumEdges() {
+					t.Fatalf("t=%d: parallel and serial decode disagree (%d vs %d edges)",
+						tt, sa.NumEdges(), sb.NumEdges())
+				}
+				for u := 0; u < 10; u++ {
+					for _, v := range sa.Out[u] {
+						if !sb.HasEdge(u, v) {
+							t.Fatalf("t=%d: edge %d->%d only in parallel run", tt, u, v)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

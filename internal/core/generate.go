@@ -6,10 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"vrdag/internal/dyngraph"
+	"vrdag/internal/nn"
 	"vrdag/internal/obs"
 	"vrdag/internal/tensor"
 )
@@ -109,7 +109,9 @@ func (m *Model) generate(ctx context.Context, opts GenOptions, yield func(*dyngr
 		}
 		sp := obs.Start(ctx, "decode")
 		snap := st.step(t)
-		sp.SetInt("t", int64(t)).SetInt("edges", int64(snap.NumEdges())).End()
+		sp.SetInt("t", int64(t)).SetInt("edges", int64(snap.NumEdges())).
+			SetFloat("lambda", st.stats.lambda).SetInt("persisted", int64(st.stats.persisted)).
+			SetFloat("cands_mean", st.stats.candsMean).End()
 		if err := yield(snap); err != nil {
 			return err
 		}
@@ -148,10 +150,22 @@ type genState struct {
 	spare   *dyngraph.Snapshot
 
 	// Decode scratch, reused across timesteps.
-	scores []nodeScores
-	cum    []float64
-	seeds  []int64
-	comp   []int
+	scores  []nodeScores
+	weights []float64   // candidate weights: degree+1, 0 when inactive
+	cands   *aliasTable // sampler over weights, rebuilt every step
+	seeds   []int64
+	comp    []int
+
+	// stats describes the last decodeStructure call, for the traced path.
+	stats decodeStats
+}
+
+// decodeStats are the decoder's own signals from one step, attached to the
+// decode span when the request is traced.
+type decodeStats struct {
+	lambda    float64 // DegreeCalibration factor: target / expected edges
+	persisted int     // previous-step edges replayed at the persistence rate
+	candsMean float64 // mean candidate-set size over scored nodes
 }
 
 // nodeScores carries one node's candidate set, Bernoulli means, and
@@ -175,7 +189,8 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		isolated: make([]int, n),
 		degree:   make([]float64, n),
 		scores:   make([]nodeScores, n),
-		cum:      make([]float64, n+1),
+		weights:  make([]float64, n),
+		cands:    newAliasTable(n),
 		seeds:    make([]int64, n),
 		comp:     make([]int, n),
 	}
@@ -248,7 +263,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 
 	// Line 4: decode the adjacency via the MixBernoulli sampler.
 	snap := st.takeSnapshot()
-	st.decodeStructure(snap, s, clock)
+	st.stats = st.decodeStructure(snap, s, clock)
 
 	// Line 5: decode attributes conditioned on the new topology. The
 	// decoded matrix is the likelihood mean; sampling adds the
@@ -312,7 +327,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 // the mixture weights α_i, then samples edges from the selected component.
 // With DegreeCalibration the Bernoulli means are rescaled so the expected
 // edge count matches the training statistics for this timestep.
-func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) {
+//
+// Both f_θ and f_α open with a linear layer over s_i − s_j, so
+// W₁(s_i − s_j) + b₁ = P_i − P_j + b₁ with P = S·W₁. P is computed once per
+// step for all N nodes, and a candidate pair costs one subtract-and-LeakyReLU
+// row per head plus the dh→K output layers (scoreCandidates).
+func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) decodeStats {
 	m, n, rng, prev := st.m, st.n, st.rng, st.prev
 	active := st.active
 
@@ -322,7 +342,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	// first-order statistic the short CPU schedule cannot learn; a
 	// converged model's MixBernoulli would regenerate persistent edges
 	// itself (their pair scores stay high across steps).
-	persisted := 0.0
+	persisted := 0
 	if m.Cfg.DegreeCalibration && m.persistRate > 0 && prev != nil {
 		for u := 0; u < n; u++ {
 			if !active[u] {
@@ -341,16 +361,16 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	// sampling), so stale candidate sets are never re-read.
 	scores := st.scores
 
-	// Candidate weights: degree-proportional with +1 smoothing.
-	cum := st.cum
-	for v := 0; v < n; v++ {
-		w := st.degree[v] + 1
-		if !active[v] {
-			w = 0
+	// Candidate weights: degree-proportional with +1 smoothing, sampled
+	// through an alias table shared read-only by the workers.
+	weights := st.weights
+	for v := range weights {
+		weights[v] = 0
+		if active[v] {
+			weights[v] = st.degree[v] + 1
 		}
-		cum[v+1] = cum[v] + w
 	}
-	totalW := cum[n]
+	st.cands.build(weights)
 
 	// Pre-draw per-node RNG seeds so the parallel path stays deterministic.
 	// Each node's candidate draws come from a per-worker splitmix64 source
@@ -362,40 +382,19 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		seeds[i] = rng.Int63()
 	}
 
-	work := func(i int, nrng *rand.Rand, nsrc *splitmixSource, mark []bool) {
+	// First layers of both heads for every node: P = S·W₁.
+	pTheta, pAlpha := m.pairProjection(m.fTheta, s), m.pairProjection(m.fAlpha, s)
+
+	work := func(i int, w *decodeWorker) {
 		if !active[i] {
 			return
 		}
-		nsrc.Seed(seeds[i])
-		cands := m.candidates(i, prev, cum, totalW, nrng, mark)
+		w.src.Seed(seeds[i])
+		cands := m.candidates(i, prev, st.cands, w.rng, w.mark)
 		if len(cands) == 0 {
 			return
 		}
-		// diffs[j] = s_i - s_cands[j]; pooled scratch, recycled per node.
-		ds := s.Cols
-		diff := tensor.Get(len(cands), ds)
-		srow := s.Row(i)
-		for k, j := range cands {
-			drow := diff.Row(k)
-			jrow := s.Row(j)
-			for c := 0; c < ds; c++ {
-				drow[c] = srow[c] - jrow[c]
-			}
-		}
-		theta := m.fTheta.Forward(diff) // C×K logits
-		tensor.VSigmoid(theta.Data)
-		aOut := m.fAlpha.Forward(diff) // C×K
-		tensor.Put(diff)
-		aSum := make([]float64, m.Cfg.K)
-		for k := 0; k < len(cands); k++ {
-			row := aOut.Row(k)
-			for c := 0; c < m.Cfg.K; c++ {
-				aSum[c] += row[c]
-			}
-		}
-		tensor.Put(aOut)
-		alpha := make([]float64, m.Cfg.K)
-		tensor.SoftmaxSlice(alpha, aSum)
+		theta, alpha := m.scoreCandidates(w.hidden(len(cands), pTheta.Cols), pTheta, pAlpha, i, cands)
 		scores[i] = nodeScores{cands: cands, theta: theta, alpha: alpha}
 	}
 
@@ -414,32 +413,33 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				mark := make([]bool, n) // candidate-dedup scratch, one per worker
-				var nsrc splitmixSource
-				nrng := rand.New(&nsrc)
+				dw := newDecodeWorker(n)
 				for i := lo; i < hi; i++ {
-					work(i, nrng, &nsrc, mark)
+					work(i, dw)
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
 	} else {
-		mark := make([]bool, n)
-		var nsrc splitmixSource
-		nrng := rand.New(&nsrc)
+		dw := newDecodeWorker(n)
 		for i := 0; i < n; i++ {
-			work(i, nrng, &nsrc, mark)
+			work(i, dw)
 		}
 	}
+	tensor.Put(pTheta)
+	tensor.Put(pAlpha)
 
 	// Choose mixture components and collect Bernoulli means.
 	comp := st.comp
 	expected := 0.0
+	scored, pairs := 0, 0
 	for i := 0; i < n; i++ {
 		sc := &scores[i]
 		if sc.theta == nil {
 			continue
 		}
+		scored++
+		pairs += len(sc.cands)
 		comp[i] = sampleCategorical(sc.alpha, rng)
 		for k := range sc.cands {
 			expected += sc.theta.At(k, comp[i])
@@ -450,7 +450,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	// edges consume part of the budget).
 	lambda := 1.0
 	if m.Cfg.DegreeCalibration && expected > 0 {
-		target := m.edgeTarget(t) - persisted
+		target := m.edgeTarget(t) - float64(persisted)
 		if target < 0 {
 			target = 0
 		}
@@ -476,6 +476,96 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		tensor.Put(sc.theta)
 		sc.theta = nil
 	}
+
+	stats := decodeStats{lambda: lambda, persisted: persisted}
+	if scored > 0 {
+		stats.candsMean = float64(pairs) / float64(scored)
+	}
+	return stats
+}
+
+// decodeWorker is one decode goroutine's private scratch, reused for every
+// node it scores: the per-node candidate RNG, the candidate-dedup marks,
+// and the C×dh hidden rows of scoreCandidates.
+type decodeWorker struct {
+	src  splitmixSource
+	rng  *rand.Rand
+	mark []bool
+	hid  tensor.Matrix
+}
+
+func newDecodeWorker(n int) *decodeWorker {
+	w := &decodeWorker{mark: make([]bool, n)}
+	w.rng = rand.New(&w.src)
+	return w
+}
+
+// hidden returns the worker's hidden-row scratch shaped rows×cols. Its
+// contents are stale; scoreCandidates overwrites every element.
+func (w *decodeWorker) hidden(rows, cols int) *tensor.Matrix {
+	need := rows * cols
+	if cap(w.hid.Data) < need {
+		w.hid.Data = make([]float64, need)
+	}
+	w.hid.Rows, w.hid.Cols, w.hid.Data = rows, cols, w.hid.Data[:need]
+	return &w.hid
+}
+
+// pairProjection returns P = S·W₁ for the first layer of a two-layer
+// MixBernoulli head (pooled; the caller Puts it). The bias is left out:
+// it survives the pairwise difference once and is added per pair.
+func (m *Model) pairProjection(head *nn.MLP, s *tensor.Matrix) *tensor.Matrix {
+	w := head.Layers[0].W.Value
+	p := tensor.Get(s.Rows, w.Cols)
+	tensor.MatMulInto(p, s, w)
+	return p
+}
+
+// scoreCandidates evaluates f_θ and f_α on the pairs (i, j), j ∈ cands,
+// from the step's projections pTheta = S·W₁θ and pAlpha = S·W₁α: the
+// hidden row of a pair is leaky(P_i − P_j + b₁), and only the dh→K output
+// layers run per pair, through the backend GEMM. The α head is linear, so
+// Σ_j f_α(s_i − s_j) = (Σ_j h_j)·W₂ + C·b₂ runs it once on the summed
+// hidden rows. hid is C×dh scratch. It returns the C×K Bernoulli means
+// (pooled; the caller Puts them) and the K mixture weights
+// α_i = softmax(Σ_j f_α(s_i − s_j)).
+func (m *Model) scoreCandidates(hid, pTheta, pAlpha *tensor.Matrix, i int, cands []int) (*tensor.Matrix, []float64) {
+	pairHidden(hid, pTheta, m.fTheta.Layers[0].B.Value.Data, i, cands)
+	theta := m.fTheta.Layers[1].Forward(hid) // C×K logits
+	tensor.VSigmoid(theta.Data)
+	pairHidden(hid, pAlpha, m.fAlpha.Layers[0].B.Value.Data, i, cands)
+	hSum := tensor.Get(1, hid.Cols)
+	hs := hSum.Data
+	for k := range cands {
+		for c, v := range hid.Row(k)[:len(hs)] {
+			hs[c] += v
+		}
+	}
+	head := m.fAlpha.Layers[1]
+	aSum := tensor.Get(1, head.Out)
+	tensor.MatMulInto(aSum, hSum, head.W.Value)
+	tensor.Put(hSum)
+	for c, b := range head.B.Value.Data {
+		aSum.Data[c] += float64(len(cands)) * b
+	}
+	alpha := make([]float64, m.Cfg.K)
+	tensor.SoftmaxSlice(alpha, aSum.Data)
+	tensor.Put(aSum)
+	return theta, alpha
+}
+
+// pairHidden fills row k of hid with leaky(P_i − P_cands[k] + b), the
+// first-layer activation of a MixBernoulli head on s_i − s_cands[k].
+func pairHidden(hid, p *tensor.Matrix, b []float64, i int, cands []int) {
+	d := len(b)
+	pi := p.Row(i)[:d]
+	for k, j := range cands {
+		h, pj := hid.Row(k)[:d], p.Row(j)[:d]
+		for c := range h {
+			h[c] = pi[c] - pj[c] + b[c]
+		}
+	}
+	tensor.VLeakyReLU(hid.Data, 0.2)
 }
 
 // splitmixSource is the per-node candidate RNG: a splitmix64 stream whose
@@ -744,11 +834,12 @@ func (m *Model) edgeTarget(t int) float64 {
 
 // candidates builds the destination candidate set for node i: the node's
 // previous out-neighbours (temporal persistence) filled up to CandidateCap
-// with degree-proportional random draws. CandidateCap == 0 scores every
-// other node (exact Eq. 11 decoding). mark is caller-provided dedup
-// scratch of length N, false on entry; it is cleaned before returning so
-// the worker can reuse it for the next node without reallocation.
-func (m *Model) candidates(i int, prev *dyngraph.Snapshot, cum []float64, totalW float64, rng *rand.Rand, mark []bool) []int {
+// with degree-proportional random draws from the step's alias table.
+// CandidateCap == 0 scores every other node (exact Eq. 11 decoding). mark
+// is caller-provided dedup scratch of length N, false on entry; it is
+// cleaned before returning so the worker can reuse it for the next node
+// without reallocation.
+func (m *Model) candidates(i int, prev *dyngraph.Snapshot, table *aliasTable, rng *rand.Rand, mark []bool) []int {
 	n := m.Cfg.N
 	limit := m.Cfg.CandidateCap
 	if limit <= 0 || limit >= n-1 {
@@ -781,19 +872,14 @@ func (m *Model) candidates(i int, prev *dyngraph.Snapshot, cum []float64, totalW
 			}
 		}
 	}
-	if totalW <= 0 {
+	if table.total <= 0 {
 		for len(out) < limit {
 			add(rng.Intn(n))
 		}
 		return out
 	}
 	for attempts := 0; len(out) < limit && attempts < limit*4; attempts++ {
-		u := rng.Float64() * totalW
-		j := sort.SearchFloat64s(cum[1:], u)
-		if j >= n {
-			j = n - 1
-		}
-		add(j)
+		add(table.draw(rng))
 	}
 	return out
 }

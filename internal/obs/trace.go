@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -294,11 +296,20 @@ type Span struct {
 }
 
 type tag struct {
-	k     string
-	s     string
-	i     int64
-	isStr bool
+	k    string
+	s    string
+	i    int64
+	f    float64
+	kind tagKind
 }
+
+type tagKind uint8
+
+const (
+	tagInt tagKind = iota
+	tagStr
+	tagFloat
+)
 
 // SetInt attaches an integer tag (byte counts, edge counts, ...).
 func (s *Span) SetInt(k string, v int64) *Span {
@@ -311,7 +322,15 @@ func (s *Span) SetInt(k string, v int64) *Span {
 // SetStr attaches a string tag (peer, outcome, ...).
 func (s *Span) SetStr(k, v string) *Span {
 	if s != nil {
-		s.tags = append(s.tags, tag{k: k, s: v, isStr: true})
+		s.tags = append(s.tags, tag{k: k, s: v, kind: tagStr})
+	}
+	return s
+}
+
+// SetFloat attaches a floating-point tag (ratios, means, ...).
+func (s *Span) SetFloat(k string, v float64) *Span {
+	if s != nil {
+		s.tags = append(s.tags, tag{k: k, f: v, kind: tagFloat})
 	}
 	return s
 }
@@ -388,9 +407,17 @@ func (tr *Trace) View() TraceView {
 		if len(s.tags) > 0 {
 			sv.Tags = make(map[string]any, len(s.tags))
 			for _, t := range s.tags {
-				if t.isStr {
+				switch t.kind {
+				case tagStr:
 					sv.Tags[t.k] = t.s
-				} else {
+				case tagFloat:
+					if math.IsNaN(t.f) || math.IsInf(t.f, 0) {
+						// JSON has no NaN or ±Inf; keep the value readable.
+						sv.Tags[t.k] = strconv.FormatFloat(t.f, 'g', -1, 64)
+					} else {
+						sv.Tags[t.k] = t.f
+					}
+				default:
 					sv.Tags[t.k] = t.i
 				}
 			}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func TestNilSafety(t *testing.T) {
 	if sp != nil {
 		t.Fatalf("Start on traceless ctx = %v, want nil", sp)
 	}
-	sp.SetInt("bytes", 1).SetStr("peer", "a").SetErr(context.Canceled)
+	sp.SetInt("bytes", 1).SetStr("peer", "a").SetFloat("ratio", 0.5).SetErr(context.Canceled)
 	sp.End()
 
 	var nilTracer *Tracer
@@ -61,7 +62,7 @@ func TestTraceSpansAndViews(t *testing.T) {
 	}
 
 	sp := Start(ctx, "wal.append")
-	sp.SetInt("bytes", 512)
+	sp.SetInt("bytes", 512).SetFloat("fill", 0.25).SetFloat("skew", math.Inf(1))
 	sp.End()
 	sp.End() // idempotent
 
@@ -91,7 +92,7 @@ func TestTraceSpansAndViews(t *testing.T) {
 	for _, s := range v.Spans {
 		byName[s.Name] = s
 	}
-	if byName["wal.append"].Tags["bytes"] != int64(512) {
+	if tags := byName["wal.append"].Tags; tags["bytes"] != int64(512) || tags["fill"] != 0.25 || tags["skew"] != "+Inf" {
 		t.Fatalf("wal.append tags = %v", byName["wal.append"].Tags)
 	}
 	if byName["stream.flush"].DurUS < 900 || byName["stream.flush"].DurUS > 1100 {
